@@ -1,12 +1,13 @@
-"""Engineering benches: scalar vs vectorized cleaning kernels.
+"""Engineering benches: production (vectorized) vs scalar-oracle cleaning.
 
-The vectorized fast path earns its keep on long traces — a year-scale
+The vectorized kernels earn their keep on long traces — a year-scale
 corpus replays whole days of points through segmentation at once — so
 these benches run on dense synthetic trips (thousands of points), where
-array construction amortises.  The scalar twins of each bench keep the
-reference path's cost on record, and the speedup test is the hard gate
-the ISSUE's fast path must clear: vectorized segmentation at least 3x
-faster than the scalar walk on the same workload.
+array construction amortises.  The scalar twins of each bench time the
+reference implementations in ``tests/oracles/cleaning.py`` to keep
+their cost on record, and the speedup test is the hard gate the
+production kernel must clear: segmentation at least 3x faster than the
+scalar walk on the same workload.
 """
 
 import random
@@ -16,6 +17,7 @@ import time
 from repro.cleaning.ordering import repair_ordering
 from repro.cleaning.segmentation import segment_trip
 from repro.traces.model import RoutePoint, Trip
+from tests.oracles import cleaning as cleaning_oracle
 
 import pytest
 
@@ -56,17 +58,19 @@ def dense_trips():
 
 
 def _segment_all(trips, vectorized):
+    segment = segment_trip if vectorized else cleaning_oracle.segment_trip
     total = 0
     for trip in trips:
-        segments, __ = segment_trip(trip, vectorized=vectorized)
+        segments, __ = segment(trip)
         total += len(segments)
     return total
 
 
 def _order_all(trips, vectorized):
+    repair = repair_ordering if vectorized else cleaning_oracle.repair_ordering
     consistent = 0
     for trip in trips:
-        __, report = repair_ordering(trip, vectorized=vectorized)
+        __, report = repair(trip)
         consistent += report.was_consistent
     return consistent
 
@@ -107,7 +111,7 @@ def test_vectorized_segmentation_at_least_3x_faster(dense_trips):
 def test_vectorized_results_identical_on_bench_workload(dense_trips):
     # The perf workload itself doubles as an equivalence witness.
     for trip in dense_trips:
-        scalar_segments, scalar_report = segment_trip(trip)
-        vec_segments, vec_report = segment_trip(trip, vectorized=True)
+        scalar_segments, scalar_report = cleaning_oracle.segment_trip(trip)
+        vec_segments, vec_report = segment_trip(trip)
         assert scalar_report.rule_hits == vec_report.rule_hits
         assert [s.points for s in scalar_segments] == [s.points for s in vec_segments]

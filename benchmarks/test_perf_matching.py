@@ -1,11 +1,11 @@
 """Engineering benches: map-matching throughput, incremental vs HMM.
 
 ``test_perf_hmm_matcher`` publishes ``hmm_viterbi_ratio`` — the
-vectorized Viterbi decode (NumPy forward pass + one many-to-many
+production Viterbi decode (NumPy forward pass + one many-to-many
 transition-distance batch per trip, prepared CH engine) vs the scalar
-reference decode (pure-Python forward pass, one capped Dijkstra per
-previous-candidate exit per transition) over the same pre-built
-candidate layers.  Candidate generation and gap filling are identical
+reference decode in ``tests/oracles/matching.py`` (pure-Python forward
+pass, one capped Dijkstra per previous-candidate exit per transition)
+over the same pre-built candidate layers.  Candidate generation and gap filling are identical
 stages on both sides and are excluded from the measurement.  The
 committed gate lives in ``tools/bench_compare.py`` (limit 0.25, i.e.
 the decode must stay >= 4x faster); ``hmm_viterbi_flat_ratio`` (same
@@ -26,6 +26,7 @@ from repro.roadnet.ch import prepare_ch
 from repro.roadnet.routing import RouteCache
 
 from benchmarks.test_perf_route_matrix import _reset_matrix_memos
+from tests.oracles.matching import ScalarHmmMatcher
 
 
 def _segments(bench_study, n):
@@ -36,7 +37,7 @@ def _segments(bench_study, n):
 def hmm_decode_workload(bench_study):
     """Pre-built Viterbi inputs for the decode bench, prepared once.
 
-    Mirrors :meth:`HmmMatcher.match` up to the decoder branch: candidate
+    Mirrors :meth:`HmmMatcher.match` up to the decoder call: candidate
     layers (empty layers dropped), straight-line distances, transition
     caps, and the trip's batched query set.
     """
@@ -112,12 +113,10 @@ def test_perf_hmm_matcher(benchmark, bench_study, hmm_decode_workload):
     ch_engine = prepare_ch(graph, weight="length")
 
     def scalar_sweep():
-        matcher = HmmMatcher(
-            graph, route_cache=RouteCache(), vectorized_viterbi=False
-        )
+        matcher = ScalarHmmMatcher(graph, route_cache=RouteCache())
         t0 = time.perf_counter()
-        for layers, straights, caps, *__ in prepped:
-            matcher._viterbi_scalar(layers, straights, caps)
+        for args in prepped:
+            matcher._viterbi(*args)
         return time.perf_counter() - t0
 
     def vectorized_sweep(engine):
@@ -128,7 +127,7 @@ def test_perf_hmm_matcher(benchmark, bench_study, hmm_decode_workload):
         )
         t0 = time.perf_counter()
         for args in prepped:
-            matcher._viterbi_vectorized(*args)
+            matcher._viterbi(*args)
         return time.perf_counter() - t0
 
     def measure_once(engine):

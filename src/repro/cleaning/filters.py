@@ -110,8 +110,8 @@ def filter_segments(segments: list, config: FilterConfig) -> tuple[list, int, in
         if len(seg.points) < config.min_segment_points:
             dropped_short += 1
             continue
-        # TripSegment memoizes its length (seeded by vectorized
-        # segmentation); fall back to a fresh walk for bare duck types.
+        # TripSegment memoizes its length (seeded by segment_trip);
+        # fall back to a fresh walk for bare duck types.
         length = getattr(seg, "distance_m", None)
         if length is None:
             length = trip_distance_m(seg.points)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.traces.arrays import TraceArrays
-from repro.traces.model import RoutePoint, Trip, trip_distance_m
+from repro.traces.model import RoutePoint, Trip
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class OrderingReport:
         return abs(self.distance_by_id_m - self.distance_by_time_m)
 
 
-def repair_ordering(trip: Trip, vectorized: bool = False) -> tuple[Trip, OrderingReport]:
+def repair_ordering(trip: Trip) -> tuple[Trip, OrderingReport]:
     """Repair a trip's point ordering; returns (repaired trip, report).
 
     Ties (equal distances, including already-consistent trips) keep the
@@ -43,44 +43,9 @@ def repair_ordering(trip: Trip, vectorized: bool = False) -> tuple[Trip, Orderin
     their own sorted multisets so both increase monotonically along the
     chosen sequence, as the paper requires.
 
-    With ``vectorized=True`` the trip length under each candidate ordering
-    comes from one batched haversine pass over the point columns instead
-    of a per-gap scalar loop; the chosen ordering and repaired sequence
-    are identical (stable argsort mirrors Python's stable sort).
-    """
-    if vectorized:
-        return _repair_ordering_vec(trip)
-    by_id = sorted(trip.points, key=lambda p: p.point_id)
-    by_time = sorted(trip.points, key=lambda p: p.time_s)
-    d_id = trip_distance_m(by_id)
-    d_time = trip_distance_m(by_time)
-    consistent = [p.point_id for p in by_id] == [p.point_id for p in by_time]
-    if d_time < d_id:
-        chosen = "time_s"
-        sequence = by_time
-    else:
-        chosen = "point_id"
-        sequence = by_id
-    repaired = _realign(sequence)
-    report = OrderingReport(
-        trip_id=trip.trip_id,
-        distance_by_id_m=d_id,
-        distance_by_time_m=d_time,
-        chosen=chosen,
-        was_consistent=consistent,
-    )
-    return trip.with_points(repaired), report
-
-
-def _repair_ordering_vec(trip: Trip) -> tuple[Trip, OrderingReport]:
-    """Columnar ordering repair — one geometry pass per candidate ordering.
-
-    Stable argsorts reproduce exactly the permutations Python's stable
-    ``sorted`` yields, so the chosen sequence — and therefore the repaired
-    trip — matches the scalar path point for point.  Only the two distance
-    sums are computed differently (batched pairwise summation), which
-    cannot flip the choice except for exact float ties, where both paths
-    keep the id ordering anyway.
+    The trip length under each candidate ordering comes from one batched
+    haversine pass over the point columns; stable argsorts reproduce
+    exactly the permutations Python's stable ``sorted`` yields.
     """
     arrays = TraceArrays.from_trip(trip)
     order_id = np.argsort(arrays.point_id, kind="stable")

@@ -138,24 +138,6 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
         help="with --routing-engine ch: prepared hierarchy .npz to load "
              "(created on first use by parallel runs)",
     )
-    parser.add_argument(
-        "--no-vectorize", action="store_true",
-        help="run the scalar reference kernels instead of the NumPy "
-             "batch fast path (identical results, slower)",
-    )
-    parser.add_argument(
-        "--batch-routing", action=argparse.BooleanOptionalAction,
-        default=True,
-        help="resolve each trip's gap-fill queries in one many-to-many "
-             "batch on engines that support it (identical results; "
-             "default: on)",
-    )
-    parser.add_argument(
-        "--no-vectorize-viterbi", action="store_true",
-        help="decode HMM matches with the scalar per-candidate Dijkstra "
-             "forward pass instead of the NumPy Viterbi + batched "
-             "transition-distance kernel (identical results, slower)",
-    )
 
 
 def _add_robustness_flags(parser: argparse.ArgumentParser) -> None:
@@ -221,9 +203,6 @@ def _executor_config(args: argparse.Namespace) -> ExecutorConfig:
         route_cache_path=str(route_cache) if route_cache is not None else None,
         routing_engine=getattr(args, "routing_engine", "dijkstra"),
         ch_artifact_path=str(ch_artifact) if ch_artifact is not None else None,
-        vectorized=not getattr(args, "no_vectorize", False),
-        batch_routing=getattr(args, "batch_routing", True),
-        vectorized_viterbi=not getattr(args, "no_vectorize_viterbi", False),
     )
 
 
@@ -442,12 +421,7 @@ def _cmd_clean(args: argparse.Namespace) -> int:
     quarantine = Quarantine(robustness.max_error_rate)
     executor_config = _executor_config(args)
     executor = TripExecutor(
-        WorkerPayload(
-            vectorized=executor_config.vectorized,
-            robustness=robustness,
-            fault_plan=plan,
-        ),
-        executor_config,
+        WorkerPayload(robustness=robustness, fault_plan=plan), executor_config
     )
     run_ctx = obs.RunContext.create()
     # The journal rides alongside metrics.json when one is requested.
@@ -467,9 +441,9 @@ def _cmd_clean(args: argparse.Namespace) -> int:
                 print(f"no trips in {args.points}", file=sys.stderr)
                 return 1
             with executor:
-                result = CleaningPipeline(
-                    vectorized=executor_config.vectorized, robustness=robustness
-                ).run(fleet, executor=executor, quarantine=quarantine)
+                result = CleaningPipeline(robustness=robustness).run(
+                    fleet, executor=executor, quarantine=quarantine
+                )
             try:
                 quarantine.check(len(fleet) + rows_quarantined)
             except ErrorRateExceeded as exc:

@@ -1,16 +1,15 @@
 """Vectorized columnar geometry kernels.
 
 NumPy batch counterparts of the scalar kernels in
-:mod:`repro.geo.distance` and :mod:`repro.geo.geometry`.  The scalar
-functions stay the reference implementations; every kernel here applies
-*the same formula, in the same operation order*, over whole arrays, so
-the batch results agree with the scalar path to the last few ulps (the
-property the vectorized-pipeline equivalence tests pin down).
+:mod:`repro.geo.distance` and :mod:`repro.geo.geometry`.  Every kernel
+here applies *the same formula, in the same operation order*, over whole
+arrays, so the batch results agree with the scalar functions to the last
+few ulps (the property the equivalence tests against ``tests/oracles``
+pin down).
 
-Used by the ``vectorized=True`` fast paths of the cleaning, gating and
-candidate-generation stages — per-gap trip geometry becomes a handful of
-array operations instead of one Python-level trig call per route-point
-pair.
+Used by the cleaning, gating and candidate-generation stages — per-gap
+trip geometry becomes a handful of array operations instead of one
+Python-level trig call per route-point pair.
 """
 
 from __future__ import annotations

@@ -11,13 +11,14 @@ Aligns cleaned route points onto the road graph:
   baseline for comparison benches;
 * :mod:`repro.matching.gapfill` — Dijkstra shortest-path gap filling
   between distant fixes (the pgRouting step);
+* :mod:`repro.matching.factory` — :func:`build_matcher`, the one
+  constructor the study, the pool workers and the stream share;
 * :mod:`repro.matching.types` — matched points and routes.
 """
 
 from repro.matching.candidates import (
     Candidate,
     CandidateConfig,
-    candidates_for_point,
     candidates_for_points,
 )
 from repro.matching.evaluate import (
@@ -26,6 +27,7 @@ from repro.matching.evaluate import (
     evaluate_matcher,
     truth_for_segment,
 )
+from repro.matching.factory import build_matcher
 from repro.matching.gapfill import connect_matches
 from repro.matching.hmm import HmmConfig, HmmMatcher
 from repro.matching.incremental import (
@@ -54,7 +56,7 @@ __all__ = [
     "MatchedRoute",
     "MatcherState",
     "STATE_SCHEMA_VERSION",
-    "candidates_for_point",
+    "build_matcher",
     "candidates_for_points",
     "connect_matches",
     "edge_entries",

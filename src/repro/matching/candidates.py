@@ -56,58 +56,6 @@ def _distance_score(d: float, config: CandidateConfig) -> float:
     return config.mu_distance - config.distance_a * d**config.distance_exp
 
 
-def _orientation_score(
-    movement: Point | None, edge: RoadEdge, arc: float, config: CandidateConfig
-) -> float:
-    """Orientation score plus the one-way legality penalty."""
-    if movement is None or movement == (0.0, 0.0):
-        return 0.0
-    heading = edge.geometry.heading_at(arc)
-    norm = math.hypot(*movement)
-    if norm == 0.0:
-        return 0.0
-    cosang = (movement[0] * heading[0] + movement[1] * heading[1]) / norm
-    both_ways = edge.forward_allowed and edge.backward_allowed
-    if both_ways:
-        score = config.mu_orientation * abs(cosang)
-    else:
-        # One-way: the sign matters. Forward-only wants positive cos
-        # (movement along u->v geometry), backward-only negative.
-        directed = cosang if edge.forward_allowed else -cosang
-        score = config.mu_orientation * directed
-        if directed < -0.2:
-            score -= config.oneway_penalty
-    return score
-
-
-def candidates_for_point(
-    graph: RoadGraph,
-    xy: Point,
-    movement: Point | None,
-    config: CandidateConfig | None = None,
-) -> list[Candidate]:
-    """Scored candidates for one fix, best first.
-
-    ``movement`` is the local direction of travel (from neighbouring
-    fixes); None disables the orientation component (e.g. for a stationary
-    vehicle).
-    """
-    config = config or CandidateConfig()
-    out: list[Candidate] = []
-    for edge in graph.edges_near(xy, config.radius_m):
-        snapped, arc, dist = edge.geometry.project(xy)
-        score = _distance_score(dist, config) + _orientation_score(
-            movement, edge, arc, config
-        )
-        out.append(
-            Candidate(edge=edge, arc_m=arc, snapped_xy=snapped, distance_m=dist, score=score)
-        )
-    # Edge id breaks score ties, so the ranking is a total order and does
-    # not depend on the spatial index's iteration order.
-    out.sort(key=lambda c: (-c.score, c.edge.edge_id))
-    return out[: config.max_candidates]
-
-
 class EdgeArrays:
     """Flattened per-segment geometry of a whole road graph.
 
@@ -208,13 +156,19 @@ def candidates_for_points(
     movements: list[Point | None],
     config: CandidateConfig | None = None,
 ) -> list[list[Candidate]]:
-    """Scored candidates for a whole fix sequence — the batched fast path.
+    """Scored candidates for a whole fix sequence, one best-first list per fix.
 
-    Returns one best-first candidate list per fix, identical to calling
-    :func:`candidates_for_point` per fix: the projection, both score terms
-    and the radius refinement run the same floating-point operations in
-    the same order, just over (fix, edge) pair columns, and the final
-    ranking uses the same total-order ``(-score, edge_id)`` key.
+    ``movements`` holds each fix's local direction of travel (from
+    neighbouring fixes); ``None`` or a zero vector disables the
+    orientation component (e.g. for a stationary vehicle).
+
+    The projection, both score terms and the radius refinement run over
+    (fix, edge) pair columns with the same floating-point operations, in
+    the same order, as projecting each fix onto each nearby edge's
+    :class:`~repro.geo.geometry.LineString` one at a time (the per-fix
+    reference in ``tests/oracles/matching.py``).  Edge id breaks score
+    ties, so the ranking ``(-score, edge_id)`` is a total order and does
+    not depend on the spatial index's iteration order.
     """
     config = config or CandidateConfig()
     n_points = len(xys)
@@ -283,7 +237,9 @@ def candidates_for_points(
     hx = arrays.hx[head_row]
     hy = arrays.hy[head_row]
 
-    # -- scores (same expressions as the scalar helpers).
+    # -- scores: distance term below, orientation term plus the one-way
+    # penalty here (forward-only edges want a positive cosine, i.e.
+    # movement along the u->v geometry; backward-only a negative one).
     mx = np.zeros(n_points)
     my = np.zeros(n_points)
     norm = np.ones(n_points)
@@ -316,8 +272,8 @@ def candidates_for_points(
     # -- per-fix assembly, ranked by the same total-order key.  The
     # distance score's pow runs per kept pair in Python: NumPy's SIMD
     # pow kernel is 1 ulp off libm for ~5% of inputs, which would break
-    # bitwise score parity with the scalar path (and costs nothing —
-    # the scalar path pays exactly one pow per refined candidate too).
+    # bitwise score parity with the per-fix reference (and costs little:
+    # one pow per refined candidate).
     pt_start = np.zeros(n_points + 1, dtype=np.int64)
     np.cumsum(n_edges, out=pt_start[1:])
     snapped_x = cx[best]

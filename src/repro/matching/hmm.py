@@ -6,29 +6,27 @@ difference between network distance and straight-line distance (Newson &
 Krummen style).  Included as the baseline the incremental matcher is
 benchmarked against (the paper's related work names exactly this family).
 
-Two decoding paths produce bitwise-identical routes:
+Decoding is vectorized: per-layer emissions and ``(K_prev, K_cur)``
+transition matrices are NumPy arrays, the forward pass is a broadcast
+add plus per-layer ``argmax``, and every network distance the trip
+needs is resolved up front through one
+:meth:`~repro.roadnet.routing.RouteBatch.resolve_costs` call over the
+union of exit/entry endpoints (cache-first, many-to-many CH kernel or
+one multi-target Dijkstra per unique source).
 
-* the **vectorized** default — per-layer emissions and ``(K_prev,
-  K_cur)`` transition matrices are NumPy arrays, the forward pass is a
-  broadcast add plus per-layer ``argmax``, and every network distance
-  the trip needs is resolved up front through one
-  :meth:`~repro.roadnet.routing.RouteBatch.resolve_costs` call over the
-  union of exit/entry endpoints (cache-first, many-to-many CH kernel or
-  one multi-target Dijkstra per unique source);
-* the **scalar reference** (``vectorized_viterbi=False``) — a
-  pure-Python forward pass with one capped Dijkstra per exit endpoint
-  of every previous-layer candidate, per transition.
-
-Equivalence hinges on one masking rule: a transition's network distance
-only counts when the through-distance is within the transition cap
+The result is bit-identical to the textbook decoder — a pure-Python
+forward pass with one capped Dijkstra per exit endpoint of every
+previous-layer candidate, per transition (kept as the reference in
+``tests/oracles/matching.py``).  Equivalence hinges on one masking
+rule: a transition's network distance only counts when the
+through-distance is within the transition cap
 (``max(300, straight * max_network_factor)``).  A capped Dijkstra
 settles exactly one node beyond its budget and leaks tentative frontier
 labels, all provably ``> cap``, so masking ``through > cap`` makes the
 reachable set exactly ``{node: d* <= cap}`` — computable from any
 engine's exact distances.  Float associativity is preserved term by
-term (``(d1 + through) + d2``, first-occurrence argmax ties), so the
-two paths agree bit for bit; ``tests/test_hmm_vectorized.py`` holds
-them to that.
+term (``(d1 + through) + d2``, first-occurrence argmax ties);
+``tests/test_hmm_vectorized.py`` holds the two to bitwise equality.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ import numpy as np
 from repro.matching.candidates import (
     Candidate,
     CandidateConfig,
-    candidates_for_point,
     candidates_for_points,
 )
 from repro.matching.gapfill import connect_matches
@@ -54,7 +51,7 @@ from repro.matching.types import (
 )
 from repro.obs import get_journal, get_registry
 from repro.roadnet.graph import RoadGraph
-from repro.roadnet.routing import RouteBatch, dijkstra
+from repro.roadnet.routing import RouteBatch
 from repro.traces.model import RoutePoint
 
 #: Log-score standing in for an unreachable transition.
@@ -86,27 +83,13 @@ class HmmMatcher:
         config: HmmConfig | None = None,
         route_cache=None,
         routing_engine=None,
-        vectorized: bool = True,
-        batch_routing: bool = True,
-        vectorized_viterbi: bool = True,
     ) -> None:
         self.graph = graph
         self.config = config or HmmConfig()
         self.route_cache = route_cache
-        #: Gap-fill engine: None (flat Dijkstra), an engine name, or a
-        #: prepared CH engine (see :func:`repro.roadnet.make_routing_engine`).
+        #: Gap-fill engine: None (flat Dijkstra) or a prepared CH engine
+        #: (see :func:`repro.roadnet.make_routing_engine`).
         self.routing_engine = routing_engine
-        #: Generate candidates for all fixes in one batched pass
-        #: (identical candidates; see
-        #: :func:`repro.matching.candidates.candidates_for_points`).
-        self.vectorized = vectorized
-        #: Resolve each trip's gap queries in one many-to-many batch when
-        #: the engine supports it (identical edge sequences; see
-        #: :func:`repro.matching.gapfill.connect_matches`).
-        self.batch_routing = batch_routing
-        #: Decode with the NumPy forward pass and the batched
-        #: transition-distance kernel (identical routes; module docstring).
-        self.vectorized_viterbi = vectorized_viterbi
 
     def match(
         self,
@@ -118,15 +101,9 @@ class HmmMatcher:
         """Viterbi-match a point sequence (same interface as incremental)."""
         xys = [to_xy(p) for p in points]
         movements = movement_directions(xys)
-        if self.vectorized:
-            all_candidates = candidates_for_points(
-                self.graph, xys, movements, self.config.candidates
-            )
-        else:
-            all_candidates = [
-                candidates_for_point(self.graph, xy, mv, self.config.candidates)
-                for xy, mv in zip(xys, movements)
-            ]
+        all_candidates = candidates_for_points(
+            self.graph, xys, movements, self.config.candidates
+        )
         layers: list[list[Candidate]] = []
         kept_points: list[RoutePoint] = []
         kept_xys: list[tuple[float, float]] = []
@@ -153,7 +130,7 @@ class HmmMatcher:
             layers, caps, exits_per, entries_per
         )
         # Batching effectiveness, deterministic per trip (independent of
-        # cache state and scheduling): the scalar reference runs one
+        # cache state and scheduling): the textbook decoder runs one
         # capped Dijkstra per exit endpoint of every previous-layer
         # candidate per transition; the batched kernel needs at most one
         # search per unique exit node of the whole trip.
@@ -163,12 +140,9 @@ class HmmMatcher:
         registry.counter("matching.hmm_transition_pairs").inc(len(pairs))
         registry.counter("matching.hmm_dijkstra_avoided").inc(avoided)
 
-        if self.vectorized_viterbi:
-            chosen, scores = self._viterbi_vectorized(
-                layers, straights, caps, pairs, source_caps, exits_per, entries_per
-            )
-        else:
-            chosen, scores = self._viterbi_scalar(layers, straights, caps)
+        chosen, scores = self._viterbi(
+            layers, straights, caps, pairs, source_caps, exits_per, entries_per
+        )
 
         journal = get_journal()
         if journal.enabled:
@@ -180,7 +154,6 @@ class HmmMatcher:
                 layers=n,
                 transition_pairs=len(pairs),
                 dijkstra_avoided=avoided,
-                vectorized_viterbi=self.vectorized_viterbi,
             )
 
         matched = [
@@ -198,48 +171,12 @@ class HmmMatcher:
         connect_matches(
             self.graph, route,
             route_cache=self.route_cache, engine=self.routing_engine,
-            batch_routing=self.batch_routing,
         )
         return route
 
-    # -- scalar reference ------------------------------------------------------
+    # -- decoding --------------------------------------------------------------
 
-    def _viterbi_scalar(
-        self,
-        layers: list[list[Candidate]],
-        straights: list[float],
-        caps: list[float],
-    ) -> tuple[list[int], list[float]]:
-        """Pure-Python forward pass (the pre-vectorization reference)."""
-        n = len(layers)
-        log_prob: list[list[float]] = [[self._emission(c) for c in layers[0]]]
-        back: list[list[int]] = [[-1] * len(layers[0])]
-        for i in range(1, n):
-            prev_layer = layers[i - 1]
-            cur_layer = layers[i]
-            trans = self._transition_matrix(
-                prev_layer, cur_layer, straights[i - 1], caps[i - 1]
-            )
-            row_scores: list[float] = []
-            row_back: list[int] = []
-            for j, cand in enumerate(cur_layer):
-                emit = self._emission(cand)
-                best_k = -1
-                best_val = -math.inf
-                for k in range(len(prev_layer)):
-                    val = log_prob[i - 1][k] + trans[k][j]
-                    if val > best_val:
-                        best_val = val
-                        best_k = k
-                row_scores.append(best_val + emit)
-                row_back.append(best_k)
-            log_prob.append(row_scores)
-            back.append(row_back)
-        return _backtrack(layers, log_prob, back)
-
-    # -- vectorized path -------------------------------------------------------
-
-    def _viterbi_vectorized(
+    def _viterbi(
         self,
         layers: list[list[Candidate]],
         straights: list[float],
@@ -317,7 +254,7 @@ class HmmMatcher:
 
         # Every transition matrix of the trip in one shot: one (T-1,
         # 2K, 2K) gather over all exit/entry variant combinations, then
-        # a block-min over the two variant axes.  The scalar reference
+        # a block-min over the two variant axes.  The reference decoder
         # keeps a strict-< running min over the same combos, so the
         # block-min yields the identical float (ties share the value).
         capv = np.asarray(caps).reshape(-1, 1, 1)
@@ -354,74 +291,6 @@ class HmmMatcher:
             log_prob.append(scores.max(axis=0) + emissions[i, : sizes[i]])
         return _backtrack(layers, log_prob, back)
 
-    # -- probabilities ---------------------------------------------------------
-
-    def _emission(self, cand: Candidate) -> float:
-        z = cand.distance_m / self.config.sigma_m
-        return -0.5 * z * z
-
-    def _transition_matrix(
-        self,
-        prev_layer: list[Candidate],
-        cur_layer: list[Candidate],
-        straight: float,
-        cap: float,
-    ) -> list[list[float]]:
-        """Log transition scores between two candidate layers (scalar).
-
-        Network distances are computed with one capped Dijkstra per exit
-        endpoint of each previous candidate, shared across all follow-up
-        candidates.
-        """
-        out: list[list[float]] = []
-        for prev in prev_layer:
-            dist_maps: dict[int, dict[int, float]] = {}
-            for exit_node in edge_exits(prev.edge):
-                settled = dijkstra(  # batch-ok: scalar reference path (vectorized_viterbi=False)
-                    self.graph, exit_node, target=None, weight="length", max_cost=cap
-                )
-                dist_maps[exit_node] = {n: c for n, (c, __, ___) in settled.items()}
-            row: list[float] = []
-            for cur in cur_layer:
-                nd = self._network_distance(prev, cur, dist_maps, cap)
-                if nd is None:
-                    row.append(_UNREACHABLE)
-                else:
-                    row.append(-abs(nd - straight) / self.config.beta_m)
-            out.append(row)
-        return out
-
-    def _network_distance(
-        self,
-        prev: Candidate,
-        cur: Candidate,
-        dist_maps: dict[int, dict[int, float]],
-        cap: float,
-    ) -> float | None:
-        if prev.edge.edge_id == cur.edge.edge_id:
-            return abs(cur.arc_m - prev.arc_m)
-        best: float | None = None
-        for exit_node, dist_map in dist_maps.items():
-            d1 = (
-                prev.edge.length - prev.arc_m
-                if exit_node == prev.edge.v
-                else prev.arc_m
-            )
-            for entry in edge_entries(cur.edge):
-                through = dist_map.get(entry)
-                # A capped Dijkstra settles one node beyond the budget
-                # and returns tentative frontier labels; masking
-                # ``through > cap`` pins the reachable set to
-                # ``{node: d* <= cap}``, which any exact engine can
-                # reproduce (see module docstring).
-                if through is None or through > cap:
-                    continue
-                d2 = cur.arc_m if entry == cur.edge.u else cur.edge.length - cur.arc_m
-                total = d1 + through + d2
-                if total <= cap * 1.5 and (best is None or total < best):
-                    best = total
-        return best
-
 
 def _collect_transition_pairs(
     layers: list[list[Candidate]],
@@ -429,18 +298,18 @@ def _collect_transition_pairs(
     exits_per: list[list[list[int]]],
     entries_per: list[list[list[int]]],
 ) -> tuple[list[tuple[int, int]], dict[int, float], int]:
-    """The trip's transition-distance query set, in scalar consult order.
+    """The trip's transition-distance query set, in the reference decoder's consult order.
 
     ``exits_per``/``entries_per`` are the per-layer, per-candidate
     :func:`edge_exits`/:func:`edge_entries` lists (computed once in
-    :meth:`HmmMatcher.match` and shared with the vectorized builder).
+    :meth:`HmmMatcher.match` and shared with :meth:`HmmMatcher._viterbi`).
 
     Returns ``(pairs, source_caps, per_exit_searches)``: the unique
     ``(exit_node, entry_node)`` pairs every transition consults
     (first-occurrence order, same-edge candidate pairs excluded exactly
-    like the scalar short-circuit), the largest transition cap each exit
+    like the reference's same-edge short-circuit), the largest transition cap each exit
     node serves (the flat kernel's per-source search bound), and the
-    number of capped Dijkstras the scalar reference would run.
+    number of capped Dijkstras the reference decoder would run.
     """
     pairs: dict[tuple[int, int], None] = {}
     source_caps: dict[int, float] = {}
@@ -465,9 +334,8 @@ def _collect_transition_pairs(
 
 
 def _backtrack(layers, log_prob, back) -> tuple[list[int], list[float]]:
-    """Most-likely state per layer; ties resolve to the first maximum in
-    both decoders (strict-> replacement scalar, first-occurrence argmax
-    vectorized)."""
+    """Most-likely state per layer; ties resolve to the first maximum
+    (first-occurrence argmax, as the reference's strict-> replacement)."""
     n = len(layers)
     j = max(range(len(layers[-1])), key=lambda idx: log_prob[-1][idx])
     chosen: list[int] = [0] * n

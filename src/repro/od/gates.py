@@ -66,57 +66,45 @@ def find_crossings(
     xys: list[Point],
     times: list[float],
     gates: list[Gate],
-    vectorized: bool = False,
 ) -> list[CrossingEvent]:
     """All gate crossings of a point sequence, in time order.
 
     Consecutive hits of the same gate are collapsed into the first one, so
     a slow passage (several fixes inside the thick region) counts once.
 
-    ``vectorized=True`` evaluates the bounding-box prefilter of every gate
-    as one array comparison over the segment-endpoint columns (built once
-    for all gates); only the few surviving movements pay for the exact
-    thick-line test.  The bbox test is the same comparison
-    :meth:`Gate.crossed_by` short-circuits on, so the detected events — and
-    the consecutive-hit collapsing — are identical.
+    The bounding-box prefilter of every gate runs as one array comparison
+    over the segment-endpoint columns (built once for all gates); only the
+    few surviving movements pay for the exact thick-line test.  The bbox
+    test is the same comparison :meth:`Gate.crossed_by` short-circuits on.
     """
     events: list[CrossingEvent] = []
-    if vectorized and len(xys) >= 2 and gates:
-        xy = np.asarray(xys, dtype=np.float64)
-        ax, ay = xy[:-1, 0], xy[:-1, 1]
-        bx, by = xy[1:, 0], xy[1:, 1]
-        seg_xmin = np.minimum(ax, bx)
-        seg_xmax = np.maximum(ax, bx)
-        seg_ymin = np.minimum(ay, by)
-        seg_ymax = np.maximum(ay, by)
-        for gate in gates:
-            x0, y0, x1, y1 = gate._bounds
-            mask = (
-                (seg_xmax >= x0) & (seg_xmin <= x1)
-                & (seg_ymax >= y0) & (seg_ymin <= y1)
-            )
-            last_hit = -10
-            for i in map(int, np.flatnonzero(mask)):
-                if gate._thick.crossed_by(
-                    xys[i], xys[i + 1],
-                    min_angle_deg=gate.min_angle_deg,
-                    max_angle_deg=gate.max_angle_deg,
-                ):
-                    if i - last_hit > 1:
-                        events.append(
-                            CrossingEvent(gate=gate.name, index=i, time_s=times[i])
-                        )
-                    last_hit = i
-    else:
-        for gate in gates:
-            last_hit = -10
-            for i in range(len(xys) - 1):
-                if gate.crossed_by(xys[i], xys[i + 1]):
-                    if i - last_hit > 1:
-                        events.append(
-                            CrossingEvent(gate=gate.name, index=i, time_s=times[i])
-                        )
-                    last_hit = i
+    if len(xys) < 2 or not gates:
+        return events
+    xy = np.asarray(xys, dtype=np.float64)
+    ax, ay = xy[:-1, 0], xy[:-1, 1]
+    bx, by = xy[1:, 0], xy[1:, 1]
+    seg_xmin = np.minimum(ax, bx)
+    seg_xmax = np.maximum(ax, bx)
+    seg_ymin = np.minimum(ay, by)
+    seg_ymax = np.maximum(ay, by)
+    for gate in gates:
+        x0, y0, x1, y1 = gate._bounds
+        mask = (
+            (seg_xmax >= x0) & (seg_xmin <= x1)
+            & (seg_ymax >= y0) & (seg_ymin <= y1)
+        )
+        last_hit = -10
+        for i in map(int, np.flatnonzero(mask)):
+            if gate._thick.crossed_by(
+                xys[i], xys[i + 1],
+                min_angle_deg=gate.min_angle_deg,
+                max_angle_deg=gate.max_angle_deg,
+            ):
+                if i - last_hit > 1:
+                    events.append(
+                        CrossingEvent(gate=gate.name, index=i, time_s=times[i])
+                    )
+                last_hit = i
     events.sort(key=lambda e: (e.time_s, e.index))
     if events:
         get_registry().counter("od.crossings_detected").inc(len(events))

@@ -118,15 +118,11 @@ class TransitionExtractor:
         gates: list[Gate],
         central_area: Polygon,
         config: TransitionConfig | None = None,
-        vectorized: bool = True,
     ) -> None:
         self.gates = gates
         self.gates_by_name = {g.name: g for g in gates}
         self.central_area = central_area
         self.config = config or TransitionConfig()
-        #: Run gate-crossing detection through the batched bbox prefilter
-        #: (identical events; see :func:`repro.od.gates.find_crossings`).
-        self.vectorized = vectorized
 
     def extract_segment(self, seg: TripSegment, to_xy) -> SegmentExtraction:
         """Run funnel stages 2-4 on one segment — pure and parallelisable."""
@@ -138,7 +134,7 @@ class TransitionExtractor:
     def _extract_segment(self, seg: TripSegment, to_xy) -> SegmentExtraction:
         xys = [to_xy(p) for p in seg.points]
         times = [p.time_s for p in seg.points]
-        events = find_crossings(xys, times, self.gates, vectorized=self.vectorized)
+        events = find_crossings(xys, times, self.gates)
         if not events:
             return SegmentExtraction(car_id=seg.car_id)
         transition = self._first_studied_pair(seg, events)

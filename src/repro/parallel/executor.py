@@ -53,16 +53,9 @@ class ExecutorConfig:
     the batching (default: auto, ~4 chunks per worker).  ``start_method``
     picks the multiprocessing start method (None = platform default).
     ``routing_engine`` selects the gap-fill shortest-path engine
-    (``dijkstra``/``astar``/``bidirectional``/``ch``); with ``ch``,
-    ``ch_artifact_path`` optionally points at a prepared ``.npz``
-    hierarchy that workers load instead of each re-contracting.
-    ``vectorized`` runs the cleaning/gate/candidate kernels through the
-    NumPy batch fast path (identical results; ``--no-vectorize``).
-    ``batch_routing`` resolves each trip's gap-fill queries in one
-    many-to-many batch on engines that support it (identical artefacts;
-    ``--no-batch-routing``).  ``vectorized_viterbi`` decodes HMM matches
-    with the NumPy forward pass and the batched transition-distance
-    kernel (identical artefacts; ``--no-vectorize-viterbi``).
+    (``dijkstra``/``ch``); with ``ch``, ``ch_artifact_path`` optionally
+    points at a prepared ``.npz`` hierarchy that workers load instead of
+    each re-contracting.
     """
 
     workers: int = 0
@@ -72,9 +65,6 @@ class ExecutorConfig:
     route_cache_path: str | None = None
     routing_engine: str = "dijkstra"
     ch_artifact_path: str | None = None
-    vectorized: bool = True
-    batch_routing: bool = True
-    vectorized_viterbi: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 0:

@@ -25,8 +25,6 @@ _ROUTE_SOURCE_COUNTERS = (
     ("cache", "routing.route_cache_hits"),
     ("ch", "routing.ch_query_calls"),
     ("dijkstra", "routing.dijkstra_calls"),
-    ("astar", "routing.astar_calls"),
-    ("bidirectional", "routing.bidirectional_calls"),
 )
 
 

@@ -38,7 +38,8 @@ from repro.obs import (
     use_run_context,
 )
 from repro.parallel.tasks import MatchOutcome, MatchTask, match_task, study_gates
-from repro.roadnet import CitySpec, RouteCache, build_synthetic_oulu, make_routing_engine
+from repro.matching import build_matcher
+from repro.roadnet import CitySpec, RouteCache, build_synthetic_oulu
 from repro.od import TransitionConfig, TransitionExtractor
 
 
@@ -53,15 +54,7 @@ class WorkerPayload:
     ``"ch"`` each worker prepares the contraction hierarchy once at
     init — or loads it from ``ch_artifact_path`` when the orchestrator
     saved a shared ``.npz`` artifact — instead of paying flat Dijkstra
-    on every cache-missing query.  ``vectorized`` switches cleaning,
-    gate checks and candidate generation to the NumPy batch kernels
-    (identical results; CLI ``--no-vectorize`` turns it off).
-    ``batch_routing`` resolves each trip's gap-fill queries in one
-    many-to-many batch on engines that support it (identical artefacts;
-    CLI ``--no-batch-routing`` turns it off).  ``vectorized_viterbi``
-    decodes HMM matches with the NumPy forward pass and the batched
-    transition-distance kernel (identical artefacts; CLI
-    ``--no-vectorize-viterbi`` turns it off).
+    on every cache-missing query.
     """
 
     filter_config: FilterConfig | None = None
@@ -74,9 +67,6 @@ class WorkerPayload:
     route_cache_path: str | None = None
     routing_engine: str = "dijkstra"
     ch_artifact_path: str | None = None
-    vectorized: bool = True
-    batch_routing: bool = True
-    vectorized_viterbi: bool = True
     #: Degraded-mode execution: per-unit guards + bounded retry inside
     #: every worker (None = historical fail-fast).  ``fault_plan`` ships
     #: the seeded chaos plan each worker activates at init, so injection
@@ -100,7 +90,6 @@ class WorkerContext:
             payload.filter_config,
             payload.segmentation_config,
             payload.repair,
-            vectorized=payload.vectorized,
             robustness=payload.robustness,
         )
         self.city = None
@@ -109,7 +98,6 @@ class WorkerContext:
         self.extractor = None
         self.matcher = None
         self.route_cache = None
-        self.routing_engine = None
         if payload.city_spec is not None:
             city = build_synthetic_oulu(payload.city_spec)
             projector = city.projector
@@ -118,39 +106,16 @@ class WorkerContext:
             gates = study_gates(city)
             self.gates_by_name = {g.name: g for g in gates}
             self.extractor = TransitionExtractor(
-                gates,
-                city.central_area,
-                payload.transition_config,
-                vectorized=payload.vectorized,
+                gates, city.central_area, payload.transition_config
             )
             self.route_cache = RouteCache(payload.route_cache_size, payload.route_cache_path)
-            self.routing_engine = make_routing_engine(
+            self.matcher = build_matcher(
                 city.graph,
-                payload.routing_engine,
-                weight="length",
+                payload.matcher,
+                route_cache=self.route_cache,
+                routing_engine=payload.routing_engine,
                 ch_artifact=payload.ch_artifact_path,
             )
-            if payload.matcher == "hmm":
-                from repro.matching import HmmMatcher
-
-                self.matcher = HmmMatcher(
-                    city.graph,
-                    route_cache=self.route_cache,
-                    routing_engine=self.routing_engine,
-                    vectorized=payload.vectorized,
-                    batch_routing=payload.batch_routing,
-                    vectorized_viterbi=payload.vectorized_viterbi,
-                )
-            else:
-                from repro.matching import IncrementalMatcher
-
-                self.matcher = IncrementalMatcher(
-                    city.graph,
-                    route_cache=self.route_cache,
-                    routing_engine=self.routing_engine,
-                    vectorized=payload.vectorized,
-                    batch_routing=payload.batch_routing,
-                )
 
     # -- chunk handlers (one per task kind) ---------------------------------
 

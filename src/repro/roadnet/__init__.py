@@ -15,8 +15,8 @@ preparation step:
   as junctions/intermediate points and merge element chains into graph
   edges (Table 1);
 * :mod:`repro.roadnet.graph` — the resulting road graph;
-* :mod:`repro.roadnet.routing` — Dijkstra / A* shortest paths (the
-  pgRouting substitute);
+* :mod:`repro.roadnet.routing` — Dijkstra shortest paths, the route
+  cache and the batch query planner (the pgRouting substitute);
 * :mod:`repro.roadnet.ch` — a precomputed contraction-hierarchy engine
   for the gap-fill hot path (CSR arrays, shortcut preprocessing,
   bidirectional upward queries, ``.npz`` persistence);
@@ -40,8 +40,6 @@ from repro.roadnet.routing import (
     PathResult,
     RouteBatch,
     RouteCache,
-    astar,
-    bidirectional_dijkstra,
     cached_shortest_path,
     dijkstra,
     make_routing_engine,
@@ -83,8 +81,6 @@ __all__ = [
     "SegmentedAttribute",
     "SyntheticCity",
     "TrafficElement",
-    "astar",
-    "bidirectional_dijkstra",
     "build_road_graph",
     "build_synthetic_oulu",
     "cached_shortest_path",

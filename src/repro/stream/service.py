@@ -41,7 +41,7 @@ from repro.faults.errors import ADVISORY_KINDS
 from repro.features import GridAccumulator, cell_feature_counts
 from repro.features.grid import CellStats
 from repro.features.routestats import RouteStats, transition_route_stats
-from repro.matching import HmmMatcher, IncrementalMatcher, MatcherState
+from repro.matching import IncrementalMatcher, MatcherState, build_matcher
 from repro.obs import (
     MetricsRegistry,
     RunContext,
@@ -57,7 +57,7 @@ from repro.obs import (
 from repro.od import TransitionExtractor
 from repro.od.transitions import FunnelRow
 from repro.parallel import MatchTask, match_task, study_gates
-from repro.roadnet import RouteCache, SyntheticCity, build_synthetic_oulu, make_routing_engine
+from repro.roadnet import RouteCache, SyntheticCity, build_synthetic_oulu
 from repro.stats import MixedModelResult, RandomInterceptModel
 from repro.stream.checkpoint import CheckpointStore
 from repro.stream.sources import open_source
@@ -75,7 +75,7 @@ class StreamConfig:
     #: The study parameters the stream must reproduce exactly (city,
     #: grid, transition, matcher, robustness, faults).  The executor's
     #: pool settings are ignored — streaming folds are inherently serial
-    #: — but its vectorize/routing switches apply.
+    #: — but its route cache and gap-fill routing engine apply.
     study: StudyConfig = field(default_factory=StudyConfig)
     #: Input path (CSV, growing CSV, or fifo) for :func:`open_source`.
     input: str | None = None
@@ -234,42 +234,22 @@ class StreamService:
         self._to_xy = to_xy
         self._gates = study_gates(self.city)
         self._extractor = TransitionExtractor(
-            self._gates, self.city.central_area, study.transition,
-            vectorized=study.executor.vectorized,
+            self._gates, self.city.central_area, study.transition
         )
-        self._pipeline = CleaningPipeline(
-            vectorized=study.executor.vectorized,
-            robustness=study.robustness,
-        )
+        self._pipeline = CleaningPipeline(robustness=study.robustness)
         self._route_cache = RouteCache(
             study.executor.route_cache_size,
             study.executor.route_cache_path,
         )
-        engine = make_routing_engine(
+        self._matcher = build_matcher(
             self.city.graph,
-            study.executor.routing_engine,
-            weight="length",
+            study.matcher,
+            route_cache=self._route_cache,
+            routing_engine=study.executor.routing_engine,
             ch_artifact=study.executor.ch_artifact_path,
         )
-        if study.matcher == "hmm":
-            self._matcher = HmmMatcher(
-                self.city.graph, route_cache=self._route_cache,
-                routing_engine=engine,
-                vectorized=study.executor.vectorized,
-                batch_routing=study.executor.batch_routing,
-                vectorized_viterbi=study.executor.vectorized_viterbi,
-            )
-        else:
-            self._matcher = IncrementalMatcher(
-                self.city.graph, route_cache=self._route_cache,
-                routing_engine=engine,
-                vectorized=study.executor.vectorized,
-                batch_routing=study.executor.batch_routing,
-            )
         #: Dedicated live matcher (feed-only; no gap fill, no counters).
-        self._live_matcher = IncrementalMatcher(
-            self.city.graph, vectorized=study.executor.vectorized
-        )
+        self._live_matcher = IncrementalMatcher(self.city.graph)
         self._checkpoints = (
             CheckpointStore(self.config.checkpoint_dir)
             if self.config.checkpoint_dir is not None else None

@@ -3,8 +3,9 @@
 The batch layer is pure mechanism — ``route_matrix``/``route_pairs``
 must answer exactly what repeated ``shortest_path`` calls would, the
 ``RouteBatch`` planner and cache batching must never change a result,
-and a study run with batching on must produce byte-identical artefacts
-to one with batching off, serial or parallel.
+and a study run with batched gap-fill must produce byte-identical
+artefacts to one on the per-gap loop (the ``PerPairEngine`` oracle in
+``tests/oracles/routing.py``), serial or parallel.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.experiments import OuluStudy, StudyConfig
 from repro.matching import IncrementalMatcher
+import repro.matching.factory
 from repro.matching.gapfill import connect_matches
 from repro.parallel import ExecutorConfig
 from repro.roadnet import (
@@ -34,6 +36,7 @@ from repro.roadnet import (
 from repro.roadnet.routing import PathResult
 from repro.store import StoreConfig
 from repro.traces import FleetSpec
+from tests.oracles.routing import PerPairEngine
 from tests.test_parallel_executor import _comparable_counters
 from tests.test_roadnet_ch import build_random_city
 
@@ -129,7 +132,7 @@ class TestRouteBatch:
         graph = build_random_city(11, oneway_fraction=0.3)
         ids = sorted(node.node_id for node in graph.nodes())
         pairs = [(ids[0], ids[-1]), (ids[1], ids[-2]), (ids[0], ids[-1])]
-        for engine in (None, "astar", "bidirectional"):
+        for engine in (None, PerPairEngine(prepare_ch(graph, weight="length"))):
             batch = RouteBatch(graph, weight="length", engine=engine)
             assert not batch.supports_many
             resolved = batch.resolve(pairs)
@@ -223,10 +226,10 @@ class TestGapfillBatchIdentity:
     ):
         engine = prepare_ch(city.graph, weight="length")
         matchers = {
-            flag: IncrementalMatcher(
-                city.graph, routing_engine=engine, batch_routing=flag
-            )
-            for flag in (True, False)
+            True: IncrementalMatcher(city.graph, routing_engine=engine),
+            False: IncrementalMatcher(
+                city.graph, routing_engine=PerPairEngine(engine)
+            ),
         }
         segments = clean_result.segments[:15]
         compared = 0
@@ -355,24 +358,25 @@ def _hash_tree(root) -> dict:
 
 
 class TestStudyBatchEquivalence:
-    def test_batch_on_off_serial_parallel_byte_identity(self, tmp_path):
+    def test_batch_on_off_serial_parallel_byte_identity(
+        self, tmp_path, monkeypatch
+    ):
         """Batching must never change what a study computes.
 
-        Four runs of the same small study — serial/batched,
-        serial/unbatched, parallel/batched — share one CH artifact; the
+        Three runs of the same small study — serial/batched,
+        serial/per-gap, parallel/batched — share one CH artifact; the
         serial pair also persists store shards so the on-disk bytes can
         be compared directly.
         """
         artifact = str(tmp_path / "oulu_ch.npz")
 
-        def run(batch: bool, workers: int, store_dir=None):
+        def run(workers: int, store_dir=None):
             config = StudyConfig(
                 fleet=FleetSpec(n_days=2, seed=7),
                 executor=ExecutorConfig(
                     workers=workers,
                     routing_engine="ch",
                     ch_artifact_path=artifact,
-                    batch_routing=batch,
                 ),
                 store=(
                     StoreConfig(dir=str(store_dir))
@@ -382,9 +386,17 @@ class TestStudyBatchEquivalence:
             )
             return OuluStudy(config).run()
 
-        on = run(True, 0, tmp_path / "store_on")
-        off = run(False, 0, tmp_path / "store_off")
-        par = run(True, 2)
+        on = run(0, tmp_path / "store_on")
+        par = run(2)
+        # The serial study again, gap-filling through the per-gap loop.
+        make_engine = repro.matching.factory.make_routing_engine
+        monkeypatch.setattr(
+            repro.matching.factory, "make_routing_engine",
+            lambda *args, **kwargs: PerPairEngine(make_engine(*args, **kwargs)),
+        )
+        off = run(0, tmp_path / "store_off")
+        assert on.metrics["counters"]["routing.gapfill_batched"] > 0
+        assert "routing.gapfill_batched" not in off.metrics["counters"]
 
         assert study_fingerprint(on) == study_fingerprint(off)
         assert study_fingerprint(on) == study_fingerprint(par)

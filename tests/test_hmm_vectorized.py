@@ -1,12 +1,13 @@
 """Vectorized Viterbi must be bitwise-identical to the scalar decoder.
 
-The vectorized path replaces the per-candidate capped Dijkstras with one
-many-to-many batch (``RouteBatch.resolve_costs``) and the pure-Python
-forward pass with a NumPy one.  Exactness is the contract: same matched
-points (edge, arc, score), same edge sequences, same gap counts — under
-the flat engine and a prepared contraction hierarchy, on random graphs
-with one-way edges and disconnected components, and through whole study
-runs serial and parallel with the flag on and off.
+The production decoder replaces the per-candidate capped Dijkstras with
+one many-to-many batch (``RouteBatch.resolve_costs``) and the
+pure-Python forward pass with a NumPy one; the scalar decoder lives on
+as the oracle in ``tests/oracles/matching.py``.  Exactness is the
+contract: same matched points (edge, arc, score), same edge sequences,
+same gap counts — under the flat engine and a prepared contraction
+hierarchy, on random graphs with one-way edges and disconnected
+components, and through whole study runs, serial and parallel.
 """
 
 import random
@@ -24,6 +25,7 @@ from repro.traces import FleetSpec
 from repro.traces.model import RoutePoint
 from tests.test_batch_routing import study_fingerprint
 from tests.test_parallel_executor import _comparable_counters
+from tests.oracles.matching import ScalarHmmMatcher, viterbi
 from tests.test_roadnet_ch import build_random_city
 
 
@@ -74,10 +76,9 @@ def route_key(route):
 def decode_both(graph, trips, engine=None):
     """(scalar keys, vectorized keys) with fresh caches for each pass."""
     keys = []
-    for flag in (False, True):
-        matcher = HmmMatcher(
-            graph, route_cache=RouteCache(), routing_engine=engine,
-            vectorized_viterbi=flag,
+    for matcher_cls in (ScalarHmmMatcher, HmmMatcher):
+        matcher = matcher_cls(
+            graph, route_cache=RouteCache(), routing_engine=engine
         )
         keys.append([route_key(matcher.match(t, _to_xy)) for t in trips])
     return keys[0], keys[1]
@@ -141,22 +142,19 @@ class TestBitwiseEquivalence:
         config = HmmConfig(max_network_factor=1.05)
         trips = [make_trip(graph, 23 + k) for k in range(3)]
         keys = []
-        for flag in (False, True):
-            matcher = HmmMatcher(
-                graph, config=config, route_cache=RouteCache(),
-                vectorized_viterbi=flag,
-            )
+        for matcher_cls in (ScalarHmmMatcher, HmmMatcher):
+            matcher = matcher_cls(graph, config=config, route_cache=RouteCache())
             keys.append([route_key(matcher.match(t, _to_xy)) for t in trips])
         assert keys[0] == keys[1]
 
 
 class TestStudyByteIdentity:
-    def test_hmm_study_flag_on_off_serial_parallel(self, tmp_path):
+    def test_hmm_study_flag_on_off_serial_parallel(self, tmp_path, monkeypatch):
         """`repro study --matcher hmm` artefacts must not depend on the
         decoder implementation or the scheduling."""
         artifact = str(tmp_path / "oulu_ch.npz")
 
-        def run(flag: bool, workers: int):
+        def run(workers: int):
             config = StudyConfig(
                 fleet=FleetSpec(n_days=2, seed=7),
                 matcher="hmm",
@@ -164,22 +162,21 @@ class TestStudyByteIdentity:
                     workers=workers,
                     routing_engine="ch",
                     ch_artifact_path=artifact,
-                    vectorized_viterbi=flag,
                 ),
             )
             return OuluStudy(config).run()
 
-        on = run(True, 0)
-        off = run(False, 0)
-        par_on = run(True, 2)
-        par_off = run(False, 2)
+        on = run(0)
+        par_on = run(2)
+        # The serial study again, decoding through the scalar oracle.
+        monkeypatch.setattr(HmmMatcher, "_viterbi", viterbi)
+        off = run(0)
 
         assert study_fingerprint(on) == study_fingerprint(off)
         assert study_fingerprint(on) == study_fingerprint(par_on)
-        assert study_fingerprint(on) == study_fingerprint(par_off)
         # matching.* counters (hmm_layers / hmm_transition_pairs /
         # hmm_dijkstra_avoided included) are comparable: deterministic
-        # per trip, independent of flag and scheduling.
+        # per trip, independent of decoder and scheduling.
         assert _comparable_counters(on) == _comparable_counters(off)
         assert _comparable_counters(on) == _comparable_counters(par_on)
 

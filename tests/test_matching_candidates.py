@@ -3,8 +3,13 @@
 import pytest
 
 from repro.geo.geometry import LineString
-from repro.matching.candidates import CandidateConfig, candidates_for_point
+from repro.matching.candidates import CandidateConfig, candidates_for_points
 from repro.roadnet.graph import ElementSpan, RoadEdge, RoadGraph, RoadNode
+
+
+def candidates_for_point(graph, xy, movement, config=None):
+    """Candidates for one fix through the production batch kernel."""
+    return candidates_for_points(graph, [xy], [movement], config)[0]
 
 
 def build_parallel_roads():

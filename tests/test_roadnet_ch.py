@@ -239,8 +239,6 @@ class TestEngineSelector:
     def test_selector_resolves_every_engine(self, city):
         assert make_routing_engine(city.graph, None) is None
         assert make_routing_engine(city.graph, "dijkstra") is None
-        assert make_routing_engine(city.graph, "astar") == "astar"
-        assert make_routing_engine(city.graph, "bidirectional") == "bidirectional"
         assert isinstance(make_routing_engine(city.graph, "ch"), CHEngine)
         with pytest.raises(ValueError):
             make_routing_engine(city.graph, "teleport")

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.geo.geometry import LineString
 from repro.roadnet.graph import ElementSpan, RoadEdge, RoadGraph, RoadNode
 from repro.roadnet.routing import (
-    astar,
     dijkstra,
     path_travel_time_s,
     shortest_path,
@@ -67,17 +66,6 @@ class TestAgainstNetworkx:
         ours = shortest_path(g, source, target, weight="length")
         expected = nx.shortest_path_length(nxg, source, target, weight="weight")
         assert ours.cost == pytest.approx(expected, rel=1e-9)
-
-    @given(seed=st.integers(min_value=0, max_value=500))
-    @settings(max_examples=20, deadline=None)
-    def test_astar_matches_dijkstra(self, seed):
-        g, __ = build_random_graph(seed)
-        rng = random.Random(seed + 2)
-        source = rng.randint(1, 25)
-        target = rng.randint(1, 25)
-        d = shortest_path(g, source, target, weight="length")
-        a = astar(g, source, target, weight="length")
-        assert a.cost == pytest.approx(d.cost, rel=1e-9)
 
 
 class TestPathMechanics:
@@ -166,63 +154,6 @@ class TestOneWayRouting:
         assert backward.nodes == (2, 3, 1)
         without = shortest_path(g, 2, 1, respect_oneway=False)
         assert without.edges == (1,)
-
-
-class TestBidirectionalDijkstra:
-    @given(seed=st.integers(min_value=0, max_value=400))
-    @settings(max_examples=20, deadline=None)
-    def test_matches_plain_dijkstra(self, seed):
-        from repro.roadnet.routing import bidirectional_dijkstra
-
-        g, __ = build_random_graph(seed)
-        rng = random.Random(seed + 5)
-        source = rng.randint(1, 25)
-        target = rng.randint(1, 25)
-        plain = shortest_path(g, source, target)
-        bidir = bidirectional_dijkstra(g, source, target)
-        assert bidir.cost == pytest.approx(plain.cost, rel=1e-9)
-
-    def test_path_is_contiguous(self):
-        from repro.roadnet.routing import bidirectional_dijkstra
-
-        g, __ = build_random_graph(7)
-        path = bidirectional_dijkstra(g, 1, 20)
-        assert path.found
-        for node, edge_id in zip(path.nodes[:-1], path.edges):
-            edge = g.edge(edge_id)
-            assert node in (edge.u, edge.v)
-        assert len(path.nodes) == len(path.edges) + 1
-
-    def test_same_node(self):
-        from repro.roadnet.routing import bidirectional_dijkstra
-
-        g, __ = build_random_graph(3)
-        path = bidirectional_dijkstra(g, 5, 5)
-        assert path.cost == 0.0
-        assert path.nodes == (5,)
-
-    def test_unreachable(self):
-        from repro.roadnet.routing import bidirectional_dijkstra
-        from repro.roadnet.graph import RoadNode
-
-        g, __ = build_random_graph(4)
-        g.add_node(RoadNode(99, (9e6, 9e6)))
-        path = bidirectional_dijkstra(g, 1, 99)
-        assert not path.found
-
-    def test_respects_oneway(self, city):
-        from repro.roadnet.routing import bidirectional_dijkstra
-
-        g = city.graph
-        oneway = next(e for e in g.edges()
-                      if e.forward_allowed != e.backward_allowed)
-        blocked_from = oneway.v if oneway.forward_allowed else oneway.u
-        target = oneway.other(blocked_from)
-        path = bidirectional_dijkstra(g, blocked_from, target)
-        plain = shortest_path(g, blocked_from, target)
-        assert path.cost == pytest.approx(plain.cost, rel=1e-9)
-        # The direct one-way edge is illegal in this direction.
-        assert path.cost > oneway.length - 1e-9
 
 
 class TestRouteCacheSpill:

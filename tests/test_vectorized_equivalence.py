@@ -1,10 +1,11 @@
-"""Scalar vs vectorized pipeline equivalence — the fast path's contract.
+"""Production kernels vs the scalar oracles — the batch kernels' contract.
 
-Every ``vectorized=True`` code path must produce exactly the scalar
-reference results: same segment splits and rule firings, same ordering
-choice and repaired sequence, same gate-crossing events, same scored
-candidates in the same order, and — end to end — the same study
-artefacts.  These tests are what lets the batch kernels default on.
+Every batched NumPy kernel must produce exactly the results of its
+plain-Python reference in ``tests/oracles``: same segment splits and
+rule firings, same ordering choice and repaired sequence, same
+gate-crossing events, same scored candidates in the same order, and —
+end to end — the same study artefacts.  These tests are what lets the
+batch kernels be the only production path.
 """
 
 from __future__ import annotations
@@ -14,20 +15,22 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.cleaning.pipeline
+import repro.matching.incremental
+import repro.od.transitions
 from repro.cleaning.ordering import repair_ordering
 from repro.cleaning.segmentation import segment_trip
 from repro.experiments import OuluStudy, StudyConfig
 from repro.matching import IncrementalMatcher
-from repro.matching.candidates import (
-    CandidateConfig,
-    candidates_for_point,
-    candidates_for_points,
-)
+from repro.matching.candidates import CandidateConfig, candidates_for_points
 from repro.od.gates import find_crossings
 from repro.od.transitions import TransitionExtractor
-from repro.parallel import ExecutorConfig, study_gates
+from repro.parallel import study_gates
 from repro.traces import FleetSpec
 from repro.traces.model import RoutePoint, Trip
+from tests.oracles import cleaning as cleaning_oracle
+from tests.oracles import matching as matching_oracle
+from tests.oracles import od as od_oracle
 
 
 # -- random-trip strategy ----------------------------------------------------
@@ -52,8 +55,8 @@ class TestSegmentationEquivalence:
     @given(trip=trip_st)
     @settings(max_examples=150, deadline=None)
     def test_same_segments_and_rule_hits(self, trip):
-        scalar_segments, scalar_report = segment_trip(trip)
-        vec_segments, vec_report = segment_trip(trip, vectorized=True)
+        scalar_segments, scalar_report = cleaning_oracle.segment_trip(trip)
+        vec_segments, vec_report = segment_trip(trip)
         assert scalar_report.rule_hits == vec_report.rule_hits
         assert scalar_report.segments_created == vec_report.segments_created
         assert [(s.segment_id, s.trip_id, s.car_id, s.index) for s in scalar_segments] \
@@ -63,11 +66,11 @@ class TestSegmentationEquivalence:
     @given(trip=trip_st)
     @settings(max_examples=50, deadline=None)
     def test_seeded_distance_cache_matches_scalar_walk(self, trip):
-        scalar_segments, __ = segment_trip(trip)
-        vec_segments, __ = segment_trip(trip, vectorized=True)
+        scalar_segments, __ = cleaning_oracle.segment_trip(trip)
+        vec_segments, __ = segment_trip(trip)
         for s, v in zip(scalar_segments, vec_segments):
-            # The vectorized path seeds the memo from its gap arrays; the
-            # scalar property walks the points.  Same hops, summed in a
+            # Production segmentation seeds the memo from its gap arrays;
+            # the oracle's segments walk the points.  Same hops, summed in a
             # different association — equal to float accumulation noise.
             assert abs(s.distance_m - v.distance_m) <= 1e-6 * max(1.0, s.distance_m)
 
@@ -76,8 +79,8 @@ class TestOrderingEquivalence:
     @given(trip=trip_st)
     @settings(max_examples=150, deadline=None)
     def test_same_choice_and_repaired_sequence(self, trip):
-        scalar_trip, scalar_report = repair_ordering(trip)
-        vec_trip, vec_report = repair_ordering(trip, vectorized=True)
+        scalar_trip, scalar_report = cleaning_oracle.repair_ordering(trip)
+        vec_trip, vec_report = repair_ordering(trip)
         assert scalar_trip.points == vec_trip.points
         assert scalar_report.chosen == vec_report.chosen
         assert scalar_report.was_consistent == vec_report.was_consistent
@@ -101,14 +104,14 @@ class TestGateCrossingEquivalence:
                 t += rng.uniform(1, 30)
                 xys.append((x, y))
                 times.append(t)
-            scalar = find_crossings(xys, times, gates)
-            vectorized = find_crossings(xys, times, gates, vectorized=True)
+            scalar = od_oracle.find_crossings(xys, times, gates)
+            vectorized = find_crossings(xys, times, gates)
             assert scalar == vectorized
 
     def test_empty_inputs(self, city):
         gates = study_gates(city)
-        assert find_crossings([], [], gates, vectorized=True) == []
-        assert find_crossings([(0.0, 0.0)], [0.0], gates, vectorized=True) == []
+        assert find_crossings([], [], gates) == []
+        assert find_crossings([(0.0, 0.0)], [0.0], gates) == []
 
 
 class TestCandidateEquivalence:
@@ -130,7 +133,9 @@ class TestCandidateEquivalence:
         batch = candidates_for_points(graph, xys, movements, config)
         assert len(batch) == len(xys)
         for xy, movement, batch_cands in zip(xys, movements, batch):
-            scalar_cands = candidates_for_point(graph, xy, movement, config)
+            scalar_cands = matching_oracle.candidates_for_point(
+                graph, xy, movement, config
+            )
             assert [
                 (c.edge.edge_id, c.arc_m, c.snapped_xy, c.distance_m, c.score)
                 for c in scalar_cands
@@ -147,7 +152,7 @@ class TestCandidateEquivalence:
         rng = random.Random(11)
         for __ in range(200):
             xy = (rng.uniform(x0, x1), rng.uniform(y0, y1))
-            cands = candidates_for_point(graph, xy, None)
+            cands = candidates_for_points(graph, [xy], [None])[0]
             keys = [(-c.score, c.edge.edge_id) for c in cands]
             assert keys == sorted(keys)
 
@@ -156,15 +161,17 @@ class TestCandidateEquivalence:
 
 
 class TestExtractionEquivalence:
-    def test_funnel_and_events_match_on_cleaned_segments(self, city, clean_result, to_xy):
+    def test_funnel_and_events_match_on_cleaned_segments(
+        self, city, clean_result, to_xy, monkeypatch
+    ):
         gates = study_gates(city)
         segments = clean_result.segments[:150]
-        scalar = TransitionExtractor(
-            gates, city.central_area, vectorized=False
-        ).extract(segments, to_xy)
-        vectorized = TransitionExtractor(
-            gates, city.central_area, vectorized=True
-        ).extract(segments, to_xy)
+        extractor = TransitionExtractor(gates, city.central_area)
+        vectorized = extractor.extract(segments, to_xy)
+        monkeypatch.setattr(
+            repro.od.transitions, "find_crossings", od_oracle.find_crossings
+        )
+        scalar = extractor.extract(segments, to_xy)
         assert scalar.funnel == vectorized.funnel
         assert len(scalar.transitions) == len(vectorized.transitions)
         for s, v in zip(scalar.transitions, vectorized.transitions):
@@ -174,14 +181,26 @@ class TestExtractionEquivalence:
 
 
 class TestMatcherEquivalence:
-    def test_incremental_matcher_same_routes(self, city, clean_result, to_xy):
+    def test_incremental_matcher_same_routes(
+        self, city, clean_result, to_xy, monkeypatch
+    ):
         segments = [s for s in clean_result.segments if len(s.points) >= 8][:20]
-        scalar_matcher = IncrementalMatcher(city.graph, vectorized=False)
-        vec_matcher = IncrementalMatcher(city.graph, vectorized=True)
         assert segments, "fixture produced no matchable segments"
-        for seg in segments:
-            scalar_route = scalar_matcher.match(seg.points, to_xy, seg.segment_id, seg.car_id)
-            vec_route = vec_matcher.match(seg.points, to_xy, seg.segment_id, seg.car_id)
+
+        def match_all():
+            matcher = IncrementalMatcher(city.graph)
+            return [
+                matcher.match(seg.points, to_xy, seg.segment_id, seg.car_id)
+                for seg in segments
+            ]
+
+        vec_routes = match_all()
+        monkeypatch.setattr(
+            repro.matching.incremental, "candidates_for_points",
+            matching_oracle.candidates_for_points,
+        )
+        scalar_routes = match_all()
+        for scalar_route, vec_route in zip(scalar_routes, vec_routes):
             if scalar_route is None:
                 assert vec_route is None
                 continue
@@ -192,16 +211,22 @@ class TestMatcherEquivalence:
 
 
 class TestStudyEquivalence:
-    def test_vectorized_study_reproduces_scalar_artefacts(self):
-        def run(vectorized: bool):
-            config = StudyConfig(
-                fleet=FleetSpec(n_days=2, seed=7),
-                executor=ExecutorConfig(vectorized=vectorized),
-            )
+    def test_vectorized_study_reproduces_scalar_artefacts(self, monkeypatch):
+        def run():
+            config = StudyConfig(fleet=FleetSpec(n_days=2, seed=7))
             return OuluStudy(config).run()
 
-        scalar = run(False)
-        vectorized = run(True)
+        vectorized = run()
+        # The same study with every batch kernel swapped for its oracle.
+        for module, name, oracle in (
+            (repro.cleaning.pipeline, "repair_ordering", cleaning_oracle.repair_ordering),
+            (repro.cleaning.pipeline, "segment_trip", cleaning_oracle.segment_trip),
+            (repro.od.transitions, "find_crossings", od_oracle.find_crossings),
+            (repro.matching.incremental, "candidates_for_points",
+             matching_oracle.candidates_for_points),
+        ):
+            monkeypatch.setattr(module, name, oracle)
+        scalar = run()
         assert [s.segment_id for s in scalar.clean.segments] == [
             s.segment_id for s in vectorized.clean.segments
         ]

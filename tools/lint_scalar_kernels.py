@@ -6,9 +6,10 @@ scalar :func:`repro.geo.distance.haversine_m` in ``repro/cleaning/`` is
 almost always a perf regression sneaking in — per-pair trig calls in a
 loop instead of one batch kernel.
 
-Scalar imports that are *intentional* (the reference implementations the
-vectorized kernels are verified against, or genuinely per-pair
-predicates) carry a ``# scalar-ok: <reason>`` marker on the import line.
+Scalar imports that are *intentional* (genuinely per-pair predicates,
+or per-fix previews; the reference implementations the kernels are
+verified against live in ``tests/oracles``) carry a ``# scalar-ok:
+<reason>`` marker on the import line.
 Everything else fails this check:
 
     python tools/lint_scalar_kernels.py
